@@ -6,12 +6,14 @@
 #   make race    race-check the concurrent packages (parallel metrics,
 #                heap allocator equivalence, experiment worker pool, and the
 #                goroutine-per-device emulator); slow on small machines
-#   make bench   micro + experiment benchmarks with allocation counts
+#   make bench   micro + experiment benchmarks with allocation counts, and
+#                the DynConn fail/repair layer row (fail_us, repair_us)
 #   make bench-smoke  one fast suite pass diffed against the recorded
 #                BENCH_pr1.json baseline; fails on a large regression
 #   make fuzz-smoke  fuzz arbitrary fault schedules against the packet and
 #                multipath-transport conservation invariants (serial and
-#                sharded engines) for a few seconds each
+#                sharded engines), and fail/repair sequences against
+#                DynConn's from-scratch recount, for a few seconds each
 #   make bench-scale  quick sharded-engine scaling sweep (1k servers); the
 #                full 1k/10k/100k sweep is `cmd/benchsuite -scale`, recorded
 #                as BENCH_pr6.json
@@ -57,6 +59,7 @@ bench:
 	$(GO) test -bench=MaxMin -benchmem -run XXX ./internal/flowsim
 	$(GO) test -bench=. -benchmem -run XXX ./internal/obs
 	$(GO) test -bench=BenchmarkRun -benchmem -run XXX ./internal/packetsim ./internal/emu
+	$(GO) test -bench=DynConnChurn -benchmem -run XXX ./internal/surv
 
 # The 10x threshold only catches order-of-magnitude blowups: CI machines are
 # shared and noisy, so a tight gate would flake. Use `cmd/benchsuite
@@ -74,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzMultipathConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzShardConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/svc -run XXX -fuzz FuzzSvcConservation -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run XXX -fuzz FuzzDynConn -fuzztime $(FUZZTIME)
 
 # Equivalence first (the engines must agree message-for-message on
 # overflow-free configs), then throughput: a fresh 1k sweep must not lose

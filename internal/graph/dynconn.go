@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // DynConn tracks the connected components of a graph incrementally as nodes
 // and edges fail and recover, maintaining weighted component aggregates
 // without recomputing connectivity from scratch at every event. It is the
@@ -11,14 +13,16 @@ package graph
 //
 //   - Repairs only ever merge components, which a disjoint-set union over
 //     "base component ids" handles in near-constant amortized time.
-//   - Failures may split a component. A split is detected with a targeted
-//     BFS from one surviving neighbor of the failed component that stops as
-//     soon as it has seen every other surviving neighbor — for a non-cut
-//     component (the overwhelmingly common case in a well-connected DCN)
-//     the search touches only a small ball around the failure. Only a real
-//     split pays for a traversal of the regions it creates, and the region
-//     the detection BFS explored keeps its old id, so the giant component is
-//     never relabeled.
+//   - Failures may split a component. A split is detected by one BFS per
+//     surviving attachment point (the failed edge's two endpoints, or the
+//     failed node's alive neighbors), expanded round-robin one vertex at a
+//     time. Searches that meet merge, and the check stops as soon as all of
+//     them have merged — for a non-cut failure (the overwhelmingly common
+//     case in a well-connected DCN) that is a small ball around the failure.
+//     A group of searches that runs dry first has enumerated a whole
+//     fragment, which gets a fresh id; the last group still searching keeps
+//     the old id, so the giant component is never walked to the end or
+//     relabeled.
 //
 // Each node carries a caller-supplied non-negative weight (the survivability
 // suite weighs servers 1 and switches 0), and the tracker maintains the
@@ -47,10 +51,21 @@ type DynConn struct {
 	comps       int   // live components
 	weighted    int   // live components with wsum > 0
 
-	// Per-operation scratch: seen[v] == epoch marks v visited this op.
-	seen  []int32
-	epoch int32
-	queue []int32
+	// Split-check scratch, reused across operations. A check with k
+	// searches reserves the k epochs after the current one: seen[v] ==
+	// base+i marks v as claimed by search i, and any smaller mark means
+	// unvisited by this check.
+	seen     []int32
+	epoch    int32
+	searches []search
+}
+
+// search is one BFS of a split check.
+type search struct {
+	q    []int32 // vertices claimed, in BFS order
+	head int     // q[:head] have been expanded
+	up   int     // union-find parent over search indices
+	live int     // at a group root: member searches with vertices left to expand
 }
 
 // NewDynConn returns a tracker for g with every node and edge alive.
@@ -70,12 +85,12 @@ func NewDynConn(g *Graph, weight []int64) *DynConn {
 		weight: weight,
 		comp:   make([]int32, n),
 		seen:   make([]int32, n),
-		queue:  make([]int32, 0, n),
 	}
 	for i := range d.comp {
 		d.comp[i] = -1
 	}
 	// One sweep assigns a base id per initial component.
+	q := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if d.comp[v] != -1 {
 			continue
@@ -83,7 +98,7 @@ func NewDynConn(g *Graph, weight []int64) *DynConn {
 		id := d.newBase()
 		d.comp[v] = id
 		w, sz := weight[v], int64(1)
-		q := append(d.queue[:0], int32(v))
+		q = append(q[:0], int32(v))
 		for head := 0; head < len(q); head++ {
 			u := q[head]
 			for _, h := range g.adj[u] {
@@ -96,7 +111,6 @@ func NewDynConn(g *Graph, weight []int64) *DynConn {
 				q = append(q, h.to)
 			}
 		}
-		d.queue = q[:0]
 		d.size[id] = sz
 		d.wsum[id] = w
 		d.addComp(w)
@@ -203,16 +217,99 @@ func (d *DynConn) union(a, b int32) int32 {
 	return a
 }
 
-// nextEpoch advances the per-operation visit marker.
-func (d *DynConn) nextEpoch() int32 {
-	d.epoch++
-	if d.epoch == 0 { // int32 wraparound: clear marks and restart
-		for i := range d.seen {
-			d.seen[i] = 0
-		}
-		d.epoch = 1
+// seed starts search i of the next split check at vertex v.
+func (d *DynConn) seed(i int, v int32) {
+	if i == len(d.searches) {
+		d.searches = append(d.searches, search{})
 	}
-	return d.epoch
+	d.searches[i].q = append(d.searches[i].q[:0], v)
+}
+
+// findSearch returns the root of search i's group, with path halving.
+func (d *DynConn) findSearch(i int) int {
+	ss := d.searches
+	for ss[i].up != i {
+		ss[i].up = ss[ss[i].up].up
+		i = ss[i].up
+	}
+	return i
+}
+
+// split re-derives connectivity inside the component rooted at r after a
+// failure left it with remSize nodes of weight remW, reachable from the k
+// attachment points seeded into searches 0..k-1. The caller has already
+// dropped r's old aggregates. Each search expands one vertex per turn; a
+// search reaching a vertex another group claimed merges the two groups, and
+// a group whose searches have all run dry is a complete fragment. The check
+// ends when one group is left, which keeps the id r.
+func (d *DynConn) split(r int32, k int, remSize, remW int64) {
+	if d.epoch > math.MaxInt32-int32(k) { // int32 wraparound: clear marks and restart
+		clear(d.seen)
+		d.epoch = 0
+	}
+	base := d.epoch + 1
+	d.epoch += int32(k)
+	ss := d.searches[:k]
+	for i := range ss {
+		ss[i].head, ss[i].up, ss[i].live = 0, i, 1
+		d.seen[ss[i].q[0]] = base + int32(i)
+	}
+	for groups, i := k, 0; groups > 1; i = (i + 1) % k {
+		s := &ss[i]
+		if s.head == len(s.q) {
+			continue
+		}
+		x := s.q[s.head]
+		s.head++
+		for _, h := range d.g.adj[x] {
+			if !d.view.usable(h) {
+				continue
+			}
+			mark := d.seen[h.to]
+			if mark < base {
+				d.seen[h.to] = base + int32(i)
+				s.q = append(s.q, h.to)
+				continue
+			}
+			if o := int(mark - base); o != i {
+				if a, b := d.findSearch(i), d.findSearch(o); a != b {
+					ss[b].up = a
+					ss[a].live += ss[b].live
+					if groups--; groups == 1 {
+						break
+					}
+				}
+			}
+		}
+		if s.head < len(s.q) || groups == 1 {
+			continue
+		}
+		a := d.findSearch(i)
+		if ss[a].live--; ss[a].live > 0 {
+			continue
+		}
+		// Group a ran dry without meeting the others: its searches claimed
+		// exactly one fragment, which splits off under a fresh id.
+		id := d.newBase()
+		var size, w int64
+		for j := range ss {
+			if d.findSearch(j) != a {
+				continue
+			}
+			for _, v := range ss[j].q {
+				d.comp[v] = id
+				w += d.weight[v]
+			}
+			size += int64(len(ss[j].q))
+		}
+		d.size[id], d.wsum[id] = size, w
+		d.addComp(w)
+		remSize -= size
+		remW -= w
+		groups--
+	}
+	d.size[r], d.wsum[r] = remSize, remW
+	d.addComp(remW)
 }
 
 // FailNode marks node u failed and updates component state. Failing an
@@ -227,97 +324,19 @@ func (d *DynConn) FailNode(u int) {
 	d.comp[u] = -1
 	d.aliveWeight -= w
 	d.dropComp(d.wsum[r])
-	remW, remSize := d.wsum[r]-w, d.size[r]-1
-	if remSize == 0 { // u was the component's last node
+	if d.size[r] == 1 { // u was the component's last node
 		d.size[r], d.wsum[r] = 0, 0
 		return
 	}
-	// Surviving neighbors of u inside the component.
-	nbrs := d.queue[:0]
+	// Every survivor reached u through one of its alive neighbors.
+	k := 0
 	for _, h := range d.g.adj[u] {
 		if d.view.usable(h) {
-			nbrs = append(nbrs, h.to)
+			d.seed(k, h.to)
+			k++
 		}
 	}
-	if len(nbrs) <= 1 {
-		// At most one attachment point: the rest of the component is intact
-		// (remSize > 0 implies exactly one here — every survivor reached u
-		// through some alive neighbor).
-		d.queue = nbrs[:0]
-		d.size[r], d.wsum[r] = remSize, remW
-		d.addComp(remW)
-		return
-	}
-	// Split check: BFS from nbrs[0], stopping once every other neighbor has
-	// been seen. The epoch marks double as membership marks for the region.
-	epoch := d.nextEpoch()
-	targets := append([]int32(nil), nbrs[1:]...)
-	missing := len(targets)
-	q := nbrs[:1] // targets was copied out, so q may grow over nbrs' storage
-	d.seen[q[0]] = epoch
-	regW, regSize := d.weight[q[0]], int64(1)
-	for head := 0; head < len(q) && missing > 0; head++ {
-		v := q[head]
-		for _, h := range d.g.adj[v] {
-			if d.seen[h.to] == epoch || !d.view.usable(h) {
-				continue
-			}
-			d.seen[h.to] = epoch
-			regW += d.weight[h.to]
-			regSize++
-			q = append(q, h.to)
-		}
-		// Re-count outstanding targets lazily: cheap because targets is the
-		// (tiny) neighbor list, not the region.
-		missing = 0
-		for _, t := range targets {
-			if d.seen[t] != epoch {
-				missing++
-			}
-		}
-	}
-	if missing == 0 {
-		// All attachment points are still mutually connected: no split.
-		d.queue = q[:0]
-		d.size[r], d.wsum[r] = remSize, remW
-		d.addComp(remW)
-		return
-	}
-	// Finish exploring the first region (the early-exit loop above may have
-	// stopped mid-frontier only when missing hit 0, so q is already complete
-	// here — the loop ran to exhaustion).
-	// The explored region keeps the old root id r: no relabeling for the
-	// region the detection BFS already paid to walk.
-	d.size[r], d.wsum[r] = regSize, regW
-	d.addComp(regW)
-	// Each unseen attachment point anchors a new region.
-	for _, t := range targets {
-		if d.seen[t] == epoch {
-			continue
-		}
-		id := d.newBase()
-		d.seen[t] = epoch
-		d.comp[t] = id
-		tw, tsize := d.weight[t], int64(1)
-		q = q[:0]
-		q = append(q, t)
-		for head := 0; head < len(q); head++ {
-			v := q[head]
-			for _, h := range d.g.adj[v] {
-				if d.seen[h.to] == epoch || !d.view.usable(h) {
-					continue
-				}
-				d.seen[h.to] = epoch
-				d.comp[h.to] = id
-				tw += d.weight[h.to]
-				tsize++
-				q = append(q, h.to)
-			}
-		}
-		d.size[id], d.wsum[id] = tsize, tw
-		d.addComp(tw)
-	}
-	d.queue = q[:0]
+	d.split(r, k, d.size[r]-1, d.wsum[r]-w)
 }
 
 // RepairNode marks node u alive and merges it with its alive neighborhood.
@@ -329,20 +348,29 @@ func (d *DynConn) RepairNode(u int) {
 	d.view.RepairNode(u)
 	w := d.weight[u]
 	d.aliveWeight += w
-	id := d.newBase()
-	d.comp[u] = id
-	d.size[id], d.wsum[id] = 1, w
-	d.addComp(w)
-	root := id
+	// u joins the union of its neighbors' components; only a node with no
+	// alive neighbor needs a fresh base id.
+	root := int32(-1)
 	for _, h := range d.g.adj[u] {
 		if !d.view.usable(h) {
 			continue
 		}
-		nr := d.find(d.comp[h.to])
-		if nr != root {
+		switch nr := d.find(d.comp[h.to]); {
+		case root == -1:
+			root = nr
+		case nr != root:
 			root = d.union(root, nr)
 		}
 	}
+	if root == -1 {
+		root = d.newBase()
+	} else {
+		d.dropComp(d.wsum[root])
+	}
+	d.comp[u] = root
+	d.size[root]++
+	d.wsum[root] += w
+	d.addComp(d.wsum[root])
 }
 
 // FailEdge marks edge id failed and splits its component if the edge was a
@@ -353,51 +381,14 @@ func (d *DynConn) FailEdge(id int) {
 	}
 	d.view.FailEdge(id)
 	e := d.g.edges[id]
-	u, v := int(e.U), int(e.V)
-	if !d.view.NodeUp(u) || !d.view.NodeUp(v) {
+	if !d.view.NodeUp(int(e.U)) || !d.view.NodeUp(int(e.V)) {
 		return // a dead endpoint: the edge carried no connectivity
 	}
-	r := d.find(d.comp[u])
-	// BFS from u until v is seen. If v is unreachable, u's region splits off;
-	// v's (unexplored) side keeps the old id.
-	epoch := d.nextEpoch()
-	q := append(d.queue[:0], int32(u))
-	d.seen[u] = epoch
-	regW, regSize := d.weight[u], int64(1)
-	found := false
-	for head := 0; head < len(q) && !found; head++ {
-		x := q[head]
-		for _, h := range d.g.adj[x] {
-			if d.seen[h.to] == epoch || !d.view.usable(h) {
-				continue
-			}
-			if int(h.to) == v {
-				found = true
-				break
-			}
-			d.seen[h.to] = epoch
-			regW += d.weight[h.to]
-			regSize++
-			q = append(q, h.to)
-		}
-	}
-	if found {
-		d.queue = q[:0]
-		return
-	}
-	// Split: u's region (fully enumerated in q) gets a fresh id.
-	nid := d.newBase()
-	for _, x := range q {
-		d.comp[x] = nid
-	}
-	d.queue = q[:0]
-	oldW := d.wsum[r]
-	d.dropComp(oldW)
-	d.size[nid], d.wsum[nid] = regSize, regW
-	d.size[r] -= regSize
-	d.wsum[r] = oldW - regW
-	d.addComp(regW)
-	d.addComp(oldW - regW)
+	r := d.find(d.comp[e.U])
+	d.dropComp(d.wsum[r])
+	d.seed(0, e.U)
+	d.seed(1, e.V)
+	d.split(r, 2, d.size[r], d.wsum[r])
 }
 
 // RepairEdge marks edge id alive and merges its endpoints' components.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,5 +186,210 @@ func TestDynConnIdempotentEvents(t *testing.T) {
 	d.RepairEdge(0)
 	if d.Components() != 1 {
 		t.Fatalf("after double edge repair: comps=%d", d.Components())
+	}
+}
+
+// FuzzDynConn decodes the input into a small graph and a fail/repair
+// sequence and checks every aggregate against a from-scratch BFS after each
+// operation. Byte 0 sizes the graph (2..32 nodes); the following bytes pick
+// each node's tree parent, a count of extra edges and their endpoints, and
+// each node's weight (0..3); the rest are up to 256 (operation, target)
+// pairs, a cap that keeps each input's O(n²) checks cheap.
+func FuzzDynConn(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 2, 0, 1, 1, 0, 1, 0, 2, 1, 1, 0, 2, 3, 1, 2, 3})
+	f.Add([]byte{9, 0, 0, 1, 1, 2, 2, 3, 3, 4, 0, 5, 1, 2, 3, 0, 1, 2, 3, 0, 0, 4, 2, 2, 1, 4, 0, 4, 3, 6})
+	f.Add([]byte{31, 5, 9, 200, 17, 3, 3, 40, 2, 0, 7, 0, 0, 12, 2, 13, 1, 12, 3, 13, 0, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 2 + next()%31
+		g := New(n)
+		for v := 1; v < n; v++ {
+			g.MustAddEdge(v, next()%v)
+		}
+		for extra := next() % (2 * n); extra > 0; extra-- {
+			u, v := next()%n, next()%n
+			if u != v && g.EdgeBetween(u, v) == -1 {
+				g.MustAddEdge(u, v)
+			}
+		}
+		weight := make([]int64, n)
+		for i := range weight {
+			weight[i] = int64(next() % 4)
+		}
+		d := NewDynConn(g, weight)
+		checkAgainstBrute(t, g, d, weight, -1)
+		for step := 0; len(data) > 0 && step < 256; step++ {
+			applyOp(d, g, next(), next())
+			checkAgainstBrute(t, g, d, weight, step)
+		}
+	})
+}
+
+// applyOp applies operation op%4 (fail node, repair node, fail edge, repair
+// edge) to the node or edge x modulo their count.
+func applyOp(d *DynConn, g *Graph, op, x int) {
+	switch op % 4 {
+	case 0:
+		d.FailNode(x % g.NumNodes())
+	case 1:
+		d.RepairNode(x % g.NumNodes())
+	case 2:
+		d.FailEdge(x % g.NumEdges())
+	default:
+		d.RepairEdge(x % g.NumEdges())
+	}
+}
+
+// freshMarks counts the nodes marked in seen after epoch e0. A search marks
+// each node as it queues it, so after one operation this is the number of
+// nodes its split check queued.
+func freshMarks(d *DynConn, e0 int32) int {
+	n := 0
+	for _, m := range d.seen {
+		if m > e0 {
+			n++
+		}
+	}
+	return n
+}
+
+// lollipop returns a clique on nodes 0..clique-1 with a path of pathLen
+// nodes (clique, clique+1, ...) hanging off node clique-1. Edges are added
+// from the clique outward, so each path edge's Edge.U and each path node's
+// first adjacency entry lie on the clique side.
+func lollipop(clique, pathLen int) *Graph {
+	g := New(clique + pathLen)
+	for u := 0; u < clique; u++ {
+		for v := u + 1; v < clique; v++ {
+			g.MustAddEdge(u, v)
+		}
+	}
+	for v := clique; v < clique+pathLen; v++ {
+		g.MustAddEdge(v-1, v)
+	}
+	return g
+}
+
+// TestDynConnSplitSearchCost pins a splitting failure's cost to the fragment
+// it cuts off: on a 200-node clique with an 8-node handle ending in a 4-node
+// tail, cutting the tail's attaching edge, or failing its first node, must
+// queue O(tail) nodes even though Edge.U (edge case) and the first adjacency
+// entry (node case) lie on the clique side, from which a one-sided BFS walks
+// all 208 clique-side nodes before it can conclude. The handle keeps the
+// clique-side search on degree-2 nodes while the tail side runs dry; it takes
+// one turn per node the tail side expands.
+func TestDynConnSplitSearchCost(t *testing.T) {
+	const clique, handle, tail = 200, 8, 4
+	first := clique + handle // the tail's first node
+	for _, tc := range []struct {
+		name string
+		fail func(d *DynConn, g *Graph)
+		frag int // nodes split off
+	}{
+		{"edge", func(d *DynConn, g *Graph) { d.FailEdge(g.EdgeBetween(first-1, first)) }, tail},
+		{"node", func(d *DynConn, g *Graph) { d.FailNode(first) }, tail - 1},
+	} {
+		g := lollipop(clique, handle+tail)
+		weight := make([]int64, g.NumNodes())
+		for i := range weight {
+			weight[i] = 1
+		}
+		d := NewDynConn(g, weight)
+		e0 := d.epoch
+		tc.fail(d, g)
+		checkAgainstBrute(t, g, d, weight, 0)
+		if d.Components() != 2 {
+			t.Fatalf("%s: %d components, want 2", tc.name, d.Components())
+		}
+		// The fragment's search queues its frag nodes in frag turns; the
+		// clique-side search queues its start and one handle node per turn.
+		if got, bound := freshMarks(d, e0), 2*tc.frag+1; got > bound {
+			t.Errorf("%s: split check queued %d nodes, want at most %d", tc.name, got, bound)
+		}
+	}
+}
+
+// torus returns the w×h wrap-around grid: every edge lies on a 4-cycle.
+func torus(w, h int) *Graph {
+	g := New(w * h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := y*w + x
+			g.MustAddEdge(v, y*w+(x+1)%w)
+			g.MustAddEdge(v, (y+1)%h*w+x)
+		}
+	}
+	return g
+}
+
+// TestDynConnNoSplitStopsWhereSearchesMeet: on a 40×40 torus no single
+// failure splits anything, and the searches meet around the 4-cycles next to
+// the failure, so the check queues at most 16 of the 1,600 nodes.
+func TestDynConnNoSplitStopsWhereSearchesMeet(t *testing.T) {
+	const w = 40
+	g := torus(w, w)
+	weight := make([]int64, g.NumNodes())
+	for i := range weight {
+		weight[i] = int64(i % 2)
+	}
+	mid := w/2*w + w/2
+	// An edge's two searches meet once each has expanded its start and one
+	// neighbor: 2 × (1 + 3 + 3) nodes queued. A node's four searches meet
+	// once each has expanded its start, since neighbors next to each other
+	// share a diagonal node: 4 × (1 + 3).
+	for _, tc := range []struct {
+		name  string
+		fail  func(d *DynConn)
+		bound int
+	}{
+		{"edge", func(d *DynConn) { d.FailEdge(g.EdgeBetween(mid, mid+1)) }, 14},
+		{"node", func(d *DynConn) { d.FailNode(mid) }, 16},
+	} {
+		d := NewDynConn(g, weight)
+		e0 := d.epoch
+		tc.fail(d)
+		checkAgainstBrute(t, g, d, weight, 0)
+		if d.Components() != 1 {
+			t.Fatalf("%s: %d components, want 1", tc.name, d.Components())
+		}
+		if got := freshMarks(d, e0); got > tc.bound {
+			t.Errorf("%s: split check queued %d nodes, want at most %d", tc.name, got, tc.bound)
+		}
+	}
+}
+
+// TestDynConnEpochWrap runs churn across the int32 wraparound of the visit
+// epoch, starting at each of the last 16 epochs before it so that every
+// search count meets the limit exactly: marks left below the wrap must never
+// read as claimed by a search after it.
+func TestDynConnEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 24
+	g := randomConnectedGraph(rng, n, n)
+	weight := make([]int64, n)
+	for i := range weight {
+		weight[i] = int64(rng.Intn(4))
+	}
+	d := NewDynConn(g, weight)
+	for off := int32(0); off < 16; off++ {
+		start := math.MaxInt32 - off
+		d.epoch = start
+		// Run until the epoch has wrapped, then a few operations more.
+		for step, wrapped := 0, 0; wrapped < 5; step++ {
+			applyOp(d, g, rng.Intn(4), rng.Intn(1<<16))
+			checkAgainstBrute(t, g, d, weight, step)
+			if d.epoch < start {
+				wrapped++
+			} else if step > 1000 {
+				t.Fatalf("offset %d: epoch %d never wrapped", off, d.epoch)
+			}
+		}
 	}
 }

@@ -59,7 +59,9 @@ type Config struct {
 	// alive servers no longer form a single component. This is the fast
 	// path for MTTF-to-first-partition estimation: on a well-connected
 	// network almost every event then costs only a neighborhood probe, and
-	// the one splitting event pays for a single full traversal.
+	// the one splitting event pays about k times the smallest fragment it
+	// splits off (k: the failure's surviving attachment points), not a full
+	// traversal.
 	StopAtPartition bool
 	// Series, when non-nil, receives the surv_* tracks at every curve
 	// sample (see the Track* constants).
